@@ -348,7 +348,7 @@ func BenchmarkCurveOps(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c := &curve.Curve{}
 			for _, s := range sols {
-				c.TryInsert(s.Load, s.Req, s.Area, nil)
+				c.TryInsert(s.Load, s.Req, s.Area)
 			}
 		}
 	})

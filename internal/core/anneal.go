@@ -87,6 +87,7 @@ func Anneal(n *net.Net, cands []geom.Point, lib *buflib.Library, tech rc.Technol
 	}
 
 	res := &AnnealResult{}
+	defer en.pin(&res.Solution)()
 	evaluate := func(o order.Order) (float64, order.Order, func() error, error) {
 		final, err := en.Construct(o)
 		if err != nil {

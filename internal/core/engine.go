@@ -115,27 +115,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// refKind discriminates ref shapes.
-type refKind int8
-
-const (
-	refLeaf refKind = iota // direct wire from point to sink
-	refJoin                // two sub-structures joined at point (a=left, b=right)
-	refVia                 // wire from point to a's point
-	refBuf                 // buffer gate at point driving a
-)
-
-// ref reconstructs buffered routing structures from solution curves. It is
-// deliberately compact — a Construct holds millions of live refs, and GC
-// scan time of this graph dominated the profile before the shrink.
-type ref struct {
-	kind  refKind
-	point int32 // candidate index the structure is rooted at
-	sink  int32 // leaf: net sink index
-	a, b  *ref
-	gate  *rc.Gate // refBuf only
-}
-
 // Engine runs BUBBLE_CONSTRUCT for one net over a fixed candidate set,
 // library and technology. It is reusable across MERLIN iterations; the
 // sink-run memo persists so overlapping neighborhoods share sub-solutions
@@ -172,6 +151,22 @@ type Engine struct {
 	// (l,e,r) enumerations; this is the call-level complement of gammaMemo.
 	starMemo map[string][]*curve.Curve
 
+	// refs holds every solution's back-pointer; pinned is an extra
+	// compaction root (see refs.go).
+	refs   refSlab
+	pinned *curve.Solution
+
+	// Scratch reused across sub-problems, so the DP's working curves and
+	// copies never allocate once warm. Stored curves are copied out of it
+	// at their exact size by store.
+	work    []curve.Curve    // starDP: per-candidate curves of one interval
+	acc     []curve.Curve    // ConstructCtx: per-candidate Γ accumulator
+	base    []curve.Solution // addBufferedVariants: the pre-buffer curve
+	snap    []curve.Solution // transfer: all candidates' curves, flattened
+	snapOff []int            // transfer: snap offsets per candidate, k+1
+	sums    []summary        // transfer: per-candidate summaries
+	mask    []bool           // intervalMask result
+
 	// stats
 	StarDPCalls int
 	MemoHits    int
@@ -180,15 +175,6 @@ type Engine struct {
 	budgetActive bool
 	budgetUsed   int
 	budgetStart  time.Time
-}
-
-// newRef heap-allocates a ref. (A chunked arena was measurably faster but
-// pinned every pruned solution's ref for the lifetime of the run — a large
-// memory leak on big nets — so refs are individually collectable.)
-func (en *Engine) newRef(r ref) *ref {
-	p := new(ref)
-	*p = r
-	return p
 }
 
 // NewEngine prepares an engine. The candidate set is deduplicated and the
@@ -234,12 +220,48 @@ func NewEngine(n *net.Net, cands []geom.Point, lib *buflib.Library, tech rc.Tech
 		hp := geom.BoundingBox(n.Terminals()).HalfPerimeter()
 		en.margin = int64(en.Opts.RootWindow * float64(hp))
 	}
+	en.refs.n = 1 // record 0 is "no ref"
+	en.work, en.acc = make([]curve.Curve, k), make([]curve.Curve, k)
+	en.snapOff = make([]int, k+1)
+	en.sums = make([]summary, k)
+	en.mask = make([]bool, k)
 	return en
+}
+
+// reset empties every scratch curve of cs, keeping its capacity.
+func reset(cs []curve.Curve) {
+	for p := range cs {
+		cs[p].Sols = cs[p].Sols[:0]
+	}
+}
+
+// store copies per-candidate scratch curves into stored curves of exactly
+// their size: one backing array for all of them, each curve capped at its
+// own length, so an append to a stored curve can never write into another.
+func store(cs []curve.Curve) []*curve.Curve {
+	total := 0
+	for p := range cs {
+		total += len(cs[p].Sols)
+	}
+	all := make([]curve.Solution, total)
+	cells := make([]curve.Curve, len(cs))
+	out := make([]*curve.Curve, len(cs))
+	off := 0
+	for p := range cs {
+		n := copy(all[off:], cs[p].Sols)
+		if n > 0 {
+			cells[p].Sols = all[off : off+n : off+n]
+		}
+		off += n
+		out[p] = &cells[p]
+	}
+	return out
 }
 
 // intervalMask returns, for a run of items, which candidate roots are inside
 // the items' inflated bounding box (the source is always allowed). A nil
-// return means "all allowed".
+// return means "all allowed". The result is engine scratch, valid until the
+// next call.
 func (en *Engine) intervalMask(items []item) []bool {
 	if en.Opts.RootWindow <= 0 {
 		return nil
@@ -264,7 +286,7 @@ func (en *Engine) intervalMask(items []item) []bool {
 	box.Min.Y -= en.margin
 	box.Max.X += en.margin
 	box.Max.Y += en.margin
-	mask := make([]bool, len(en.Cands))
+	mask := en.mask
 	for i, p := range en.Cands {
 		mask[i] = box.Contains(p)
 	}
@@ -343,10 +365,10 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 	if n == 0 || n != en.Net.N() || !ord.Valid() {
 		return nil, fmt.Errorf("core: order must be a permutation of the %d sinks", en.Net.N())
 	}
-	// The DP's working set is a large, long-lived pointer graph; with the
-	// default GC target the collector spends more time re-scanning it than
-	// the DP spends computing. Trade heap headroom for throughput while the
-	// construction runs.
+	// The DP still allocates its stored curves and ref-slab pages at a high
+	// rate; with the default GC target the collector costs about a tenth of
+	// a golden-corpus run (4–7 sinks). Trade heap headroom for throughput
+	// while the construction runs.
 	acquireGCBoost()
 	defer releaseGCBoost()
 	k := len(en.Cands)
@@ -381,13 +403,13 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 				en.chargeSols(cached)
 				continue
 			}
-			cs := make([]*curve.Curve, k)
 			for p := 0; p < k; p++ {
-				c := en.leafCurve(p, sinkIdx)
+				c := &en.work[p]
+				c.Sols = append(c.Sols[:0], en.leafSol(p, sinkIdx))
 				en.addBufferedVariants(c, p)
 				c.Cap(en.Opts.MaxSols)
-				cs[p] = c
 			}
+			cs := store(en.work)
 			gamma[0][e][r] = cs
 			en.gammaMemo[key] = cs
 			en.chargeSols(cs)
@@ -432,10 +454,7 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 				for _, p := range G {
 					inG[p] = true
 				}
-				acc := make([]*curve.Curve, k)
-				for p := range acc {
-					acc[p] = &curve.Curve{}
-				}
+				reset(en.acc)
 				lMin := 1
 				if L-en.Opts.Alpha+1 > lMin {
 					lMin = L - en.Opts.Alpha + 1
@@ -477,23 +496,24 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 							res := en.starDP(items)
 							for p := 0; p < k; p++ {
 								for _, s := range res[p].Sols {
-									acc[p].InsertSol(s)
+									en.acc[p].InsertSol(s)
 								}
 							}
 						}
 					}
 				}
 				if en.Opts.MaxInternalChildren >= 2 && L >= 3 {
-					en.enumeratePairs(ord, G, inG, L, R, span, gam, acc)
+					en.enumeratePairs(ord, G, inG, L, R, span, gam, en.acc)
 				}
 				any := false
 				for p := 0; p < k; p++ {
-					acc[p].Cap(en.Opts.MaxSols)
-					if !acc[p].Empty() {
+					en.acc[p].Cap(en.Opts.MaxSols)
+					if !en.acc[p].Empty() {
 						any = true
 					}
 				}
 				if any {
+					acc := store(en.acc)
 					gamma[L-1][E][R] = acc
 					en.gammaMemo[key] = acc
 					en.chargeSols(acc)
@@ -507,6 +527,7 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 		return nil, fmt.Errorf("core: no solution constructed (n=%d, α=%d)", n, en.Opts.Alpha)
 	}
 	assertFinalCurves(final, "ConstructCtx")
+	en.maybeCompactRefs()
 	return final, nil
 }
 
@@ -524,24 +545,23 @@ func gammaKey(e Chi, ids []int) string {
 	return b.String()
 }
 
-// leafCurve is the minimum-distance path from candidate p to a sink.
-func (en *Engine) leafCurve(p, sinkIdx int) *curve.Curve {
+// leafSol is the minimum-distance path from candidate p to a sink.
+func (en *Engine) leafSol(p, sinkIdx int) curve.Solution {
 	sk := en.Net.Sinks[sinkIdx]
 	wl := geom.Dist(en.Cands[p], sk.Pos)
-	c := &curve.Curve{}
-	c.Add(curve.Solution{
+	return curve.Solution{
 		Load: en.Tech.QuantizeLoad(sk.Load + en.Tech.WireC(wl)),
 		Req:  sk.Req - en.Tech.WireElmore(wl, sk.Load),
-		Ref:  &ref{kind: refLeaf, point: int32(p), sink: int32(sinkIdx)},
-	})
-	return c
+		Ref:  en.newRef(ref{kind: refLeaf, point: int32(p), idx: int32(sinkIdx)}),
+	}
 }
 
 // addBufferedVariants inserts into c, for every current solution and every
 // library buffer, the variant driven by that buffer placed at candidate p.
 // c must already be pruned; it stays pruned.
 func (en *Engine) addBufferedVariants(c *curve.Curve, p int) {
-	base := append([]curve.Solution(nil), c.Sols...) // inserts mutate in place
+	base := append(en.base[:0], c.Sols...) // inserts mutate c in place
+	en.base = base
 	bs := summarize(base)
 	for bi := range en.Lib.Buffers {
 		b := &en.Lib.Buffers[bi]
@@ -552,8 +572,8 @@ func (en *Engine) addBufferedVariants(c *curve.Curve, p int) {
 		for si := range base {
 			s := &base[si]
 			req := s.Req - b.DelayNominal(en.Tech, s.Load)
-			if c.TryInsert(cin, req, s.Area+b.Area, nil) {
-				c.Sols[len(c.Sols)-1].Ref = en.newRef(ref{kind: refBuf, point: int32(p), gate: b, a: s.Ref.(*ref)})
+			if c.TryInsert(cin, req, s.Area+b.Area) {
+				c.Sols[len(c.Sols)-1].Ref = en.newRef(ref{kind: refBuf, point: int32(p), idx: int32(bi), a: s.Ref})
 			}
 		}
 	}
@@ -616,7 +636,6 @@ func (en *Engine) starDP(items []item) []*curve.Curve {
 	t := len(items)
 	// tab[a*t+b][p]
 	tab := make([][]*curve.Curve, t*t)
-	sinkOnly := make([]bool, t*t)
 
 	for length := 1; length <= t; length++ {
 		for a := 0; a+length-1 < t; a++ {
@@ -629,7 +648,6 @@ func (en *Engine) starDP(items []item) []*curve.Curve {
 					break
 				}
 			}
-			sinkOnly[idx] = pure
 			final := length == t
 			if pure && !final {
 				if cached, ok := en.memo[runKey(items[a:b+1])]; ok {
@@ -640,30 +658,28 @@ func (en *Engine) starDP(items []item) []*curve.Curve {
 			}
 			mask := en.intervalMask(items[a : b+1])
 			allowed := func(p int) bool { return mask == nil || mask[p] }
-			cur := make([]*curve.Curve, k)
+			// The interval's curves are built in scratch and stored below.
+			cur := en.work
+			reset(cur)
 			if length == 1 {
 				it := items[a]
 				for p := 0; p < k; p++ {
 					switch {
 					case !allowed(p):
-						cur[p] = &curve.Curve{} //lint:allow hotpath-alloc -- table cells need distinct identity: transfer may insert into any of them
 					case it.group != nil:
-						if it.group[p] == nil {
-							cur[p] = &curve.Curve{} //lint:allow hotpath-alloc -- table cells need distinct identity: transfer may insert into any of them
-						} else {
-							cur[p] = it.group[p].Clone()
+						if it.group[p] != nil {
+							cur[p].Sols = append(cur[p].Sols, it.group[p].Sols...)
 						}
 					default:
-						cur[p] = en.leafCurve(p, it.sinkIdx)
+						cur[p].Sols = append(cur[p].Sols, en.leafSol(p, it.sinkIdx))
 					}
 				}
 			} else {
 				for p := 0; p < k; p++ {
-					acc := &curve.Curve{} //lint:allow hotpath-alloc -- per-candidate accumulator, amortized over the whole interval join
 					if !allowed(p) {
-						cur[p] = acc
 						continue
 					}
+					acc := &cur[p]
 					for u := a; u < b; u++ {
 						lc, rcv := tab[a*t+u][p], tab[(u+1)*t+b][p]
 						if lc == nil || rcv == nil || lc.Empty() || rcv.Empty() {
@@ -685,14 +701,13 @@ func (en *Engine) starDP(items []item) []*curve.Curve {
 								if y.Req < req {
 									req = y.Req
 								}
-								if acc.TryInsert(x.Load+y.Load, req, x.Area+y.Area, nil) {
-									acc.Sols[len(acc.Sols)-1].Ref = en.newRef(ref{kind: refJoin, point: int32(p), a: x.Ref.(*ref), b: y.Ref.(*ref)})
+								if acc.TryInsert(x.Load+y.Load, req, x.Area+y.Area) {
+									acc.Sols[len(acc.Sols)-1].Ref = en.newRef(ref{kind: refJoin, point: int32(p), a: x.Ref, b: y.Ref})
 								}
 							}
 						}
 					}
 					acc.Cap(en.Opts.MaxSols)
-					cur[p] = acc
 				}
 			}
 			// Per-interval pipeline: raw → buffer → transfer → buffer.
@@ -707,7 +722,7 @@ func (en *Engine) starDP(items []item) []*curve.Curve {
 					if cur[p].Empty() {
 						continue
 					}
-					en.addBufferedVariants(cur[p], p)
+					en.addBufferedVariants(&cur[p], p)
 					cur[p].Cap(en.Opts.MaxSols)
 				}
 			}
@@ -720,12 +735,12 @@ func (en *Engine) starDP(items []item) []*curve.Curve {
 			}
 			if final && en.Opts.ForceGroupBuffers {
 				for p := 0; p < k; p++ {
-					keepBufferedRoots(cur[p])
+					en.keepBufferedRoots(&cur[p])
 				}
 			}
-			tab[idx] = cur
+			tab[idx] = store(cur)
 			if pure && !final {
-				en.memo[runKey(items[a:b+1])] = cur
+				en.memo[runKey(items[a:b+1])] = tab[idx]
 			}
 		}
 	}
@@ -781,12 +796,12 @@ func summarize(sols []curve.Solution) summary {
 
 // keepBufferedRoots filters a curve to solutions whose structure root (via
 // chains stripped) is a buffer, making the sub-group a true internal node.
-func keepBufferedRoots(c *curve.Curve) {
+func (en *Engine) keepBufferedRoots(c *curve.Curve) {
 	out := c.Sols[:0]
 	for _, s := range c.Sols {
-		r := s.Ref.(*ref)
+		r := en.refs.at(s.Ref)
 		for r.kind == refVia {
-			r = r.a
+			r = en.refs.at(r.a)
 		}
 		if r.kind == refBuf {
 			out = append(out, s)
@@ -810,32 +825,31 @@ func runKey(items []item) string {
 // transfer relaxes curves across candidate locations: a structure rooted at
 // p′ may serve root p through a direct wire p→p′ (the S = min{d(p,p′)+S′}
 // recursion). Opts.TransferHops sweeps are performed.
-func (en *Engine) transfer(cur []*curve.Curve, mask []bool) {
+func (en *Engine) transfer(cur []curve.Curve, mask []bool) {
 	k := len(en.Cands)
 	for hop := 0; hop < en.Opts.TransferHops; hop++ {
-		// Deep snapshot: Insert rewrites curve backing arrays in place, so
-		// the source solutions must be copied out before any target mutates.
-		snap := make([][]curve.Solution, k)
+		// Snapshot every source curve into one flat scratch buffer: inserts
+		// rewrite curve backing arrays in place, so the sources must be
+		// copied out before any target mutates.
+		snap := en.snap[:0]
 		for p := 0; p < k; p++ {
-			if cur[p] != nil {
-				snap[p] = append([]curve.Solution(nil), cur[p].Sols...)
-			}
+			en.snapOff[p] = len(snap)
+			snap = append(snap, cur[p].Sols...)
 		}
-		sums := make([]summary, k)
+		en.snapOff[k] = len(snap)
+		en.snap = snap
+		sums := en.sums
 		for q := 0; q < k; q++ {
-			sums[q] = summarize(snap[q])
+			sums[q] = summarize(snap[en.snapOff[q]:en.snapOff[q+1]])
 		}
 		for p := 0; p < k; p++ {
-			acc := cur[p]
-			if acc == nil {
-				acc = &curve.Curve{} //lint:allow hotpath-alloc -- nil-cell backfill, at most k per hop and each becomes a live table cell
-				cur[p] = acc
-			}
 			if mask != nil && !mask[p] {
 				continue
 			}
+			acc := &cur[p]
 			for q := 0; q < k; q++ {
-				if q == p || len(snap[q]) == 0 {
+				src := snap[en.snapOff[q]:en.snapOff[q+1]]
+				if q == p || len(src) == 0 {
 					continue
 				}
 				wl := en.dist[p][q]
@@ -845,12 +859,12 @@ func (en *Engine) transfer(cur []*curve.Curve, mask []bool) {
 				if acc.Dominated(sums[q].minLoad+wc, sums[q].maxReq-en.Tech.WireElmore(wl, sums[q].minLoad), sums[q].minArea) {
 					continue
 				}
-				for si := range snap[q] {
-					s := &snap[q][si]
+				for si := range src {
+					s := &src[si]
 					load := en.Tech.QuantizeLoad(s.Load + wc)
 					req := s.Req - en.Tech.WireElmore(wl, s.Load)
-					if acc.TryInsert(load, req, s.Area, nil) {
-						acc.Sols[len(acc.Sols)-1].Ref = en.newRef(ref{kind: refVia, point: int32(p), a: s.Ref.(*ref)})
+					if acc.TryInsert(load, req, s.Area) {
+						acc.Sols[len(acc.Sols)-1].Ref = en.newRef(ref{kind: refVia, point: int32(p), a: s.Ref})
 					}
 				}
 			}
@@ -912,14 +926,16 @@ func (en *Engine) Extract(final []*curve.Curve, goal Goal) (curve.Solution, floa
 }
 
 // BuildTree reconstructs the buffered routing tree of a solution (Fig. 9
-// line 22). The solution must come from curves produced by this engine.
+// line 22). The solution must come from curves this engine produced since
+// its last Construct call: a Construct may compact the ref slab, which
+// renumbers the refs of older solutions (see DESIGN.md §5). MerlinCtx keeps
+// its Result's solution current for the whole search.
 func (en *Engine) BuildTree(sol curve.Solution) (*tree.Tree, error) {
 	t := tree.New(en.Net)
-	r, ok := sol.Ref.(*ref)
-	if !ok || r == nil {
+	if !en.refs.valid(sol.Ref) {
 		return nil, fmt.Errorf("core: solution carries no reconstruction reference")
 	}
-	node := en.buildNode(r)
+	node := en.buildNode(sol.Ref)
 	if node.Kind == tree.KindSteiner && node.Pos == en.Net.Source {
 		t.Root.Children = node.Children
 	} else {
@@ -935,18 +951,19 @@ func (en *Engine) BuildTree(sol curve.Solution) (*tree.Tree, error) {
 // buildNode expands a ref into tree nodes; joins at the same point flatten
 // into one Steiner/buffer node so child order (and hence the realized sink
 // order) is preserved left to right.
-func (en *Engine) buildNode(r *ref) *tree.Node {
+func (en *Engine) buildNode(i int32) *tree.Node {
+	r := *en.refs.at(i)
 	switch r.kind {
 	case refLeaf:
 		n := &tree.Node{Kind: tree.KindSteiner, Pos: en.Cands[r.point]}
-		sk := en.Net.Sinks[r.sink]
+		sk := en.Net.Sinks[r.idx]
 		if n.Pos == sk.Pos {
-			return &tree.Node{Kind: tree.KindSink, Pos: sk.Pos, SinkIdx: int(r.sink)}
+			return &tree.Node{Kind: tree.KindSink, Pos: sk.Pos, SinkIdx: int(r.idx)}
 		}
-		n.AddChild(&tree.Node{Kind: tree.KindSink, Pos: sk.Pos, SinkIdx: int(r.sink)})
+		n.AddChild(&tree.Node{Kind: tree.KindSink, Pos: sk.Pos, SinkIdx: int(r.idx)})
 		return n
 	case refBuf:
-		n := &tree.Node{Kind: tree.KindBuffer, Pos: en.Cands[r.point], Buffer: *r.gate}
+		n := &tree.Node{Kind: tree.KindBuffer, Pos: en.Cands[r.point], Buffer: en.Lib.Buffers[r.idx]}
 		child := en.buildNode(r.a)
 		if child.Kind == tree.KindSteiner && child.Pos == n.Pos {
 			n.Children = child.Children
@@ -965,7 +982,7 @@ func (en *Engine) buildNode(r *ref) *tree.Node {
 		return n
 	default: // refJoin
 		n := &tree.Node{Kind: tree.KindSteiner, Pos: en.Cands[r.point]}
-		for _, part := range []*ref{r.a, r.b} {
+		for _, part := range []int32{r.a, r.b} {
 			sub := en.buildNode(part)
 			if sub.Kind == tree.KindSteiner && sub.Pos == n.Pos {
 				n.Children = append(n.Children, sub.Children...)

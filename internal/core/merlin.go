@@ -20,7 +20,9 @@ import (
 type Result struct {
 	// Tree is the hierarchical buffered routing tree ℜ.
 	Tree *tree.Tree
-	// Solution is the chosen point of the final 3-D curve.
+	// Solution is the chosen point of the final 3-D curve. Its Ref, like
+	// Frontier's, indexes the engine's ref slab and stays valid until the
+	// next call on that engine (see Engine.BuildTree).
 	Solution curve.Solution
 	// ReqAtDriverInput is the required time at the driver input for the
 	// chosen solution, per the DP's nominal-slew model.
@@ -94,6 +96,9 @@ func (en *Engine) MerlinCtx(ctx context.Context, initOrder order.Order) (out *Re
 	}
 
 	res := &Result{}
+	// The best-so-far solution outlives the Construct calls below, so it is
+	// a root of their ref compactions.
+	defer en.pin(&res.Solution)()
 	bestCost := costInf
 	for {
 		if err := ctx.Err(); err != nil {

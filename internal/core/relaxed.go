@@ -91,7 +91,7 @@ func (en *Engine) buildItemsMulti(ord order.Order, G []int, groups []innerGroup)
 // using TWO disjoint inner sub-groups. gam reads Γ; results are merged into
 // acc. Called only when Options.MaxInternalChildren >= 2.
 func (en *Engine) enumeratePairs(ord order.Order, G []int, inG map[int]bool, L, R, span int,
-	gam func(l int, e Chi, r int) []*curve.Curve, acc []*curve.Curve) {
+	gam func(l int, e Chi, r int) []*curve.Curve, acc []curve.Curve) {
 	k := len(en.Cands)
 	type cand struct {
 		ig innerGroup

@@ -2,9 +2,9 @@
 // curves that BUBBLE_CONSTRUCT and *PTREE propagate (Fig. 8 of the paper).
 //
 // A solution σ records the (load, required time, total buffer area) of a
-// buffered routing structure rooted at some point, plus an opaque reference
-// used to rebuild the structure during extraction. Definition 6 of the paper
-// orders solutions: σ2 is inferior to σ1 iff
+// buffered routing structure rooted at some point, plus an int32 reference
+// the owner uses to rebuild the structure during extraction. Definition 6 of
+// the paper orders solutions: σ2 is inferior to σ1 iff
 //
 //	load(σ1) ≤ load(σ2) ∧ reqTime(σ2) ≤ reqTime(σ1) ∧ area(σ1) ≤ area(σ2).
 //
@@ -31,8 +31,10 @@ type Solution struct {
 	// Area is the total buffer area (λ²) used inside the structure.
 	Area float64
 	// Ref is the back-pointer the owner uses to reconstruct the structure
-	// (line 22 of BUBBLE_CONSTRUCT). The curve package never inspects it.
-	Ref any
+	// (line 22 of BUBBLE_CONSTRUCT): an index into the owner's own ref
+	// storage, so a curve holds no pointers for the GC to scan. The curve
+	// package never inspects it.
+	Ref int32
 }
 
 // Dominates reports whether s is at least as good as t in all three
@@ -267,9 +269,10 @@ func (c *Curve) InsertSol(s Solution) bool {
 }
 
 // TryInsert is the fused hot-loop form of Dominated + Insert: one scan
-// decides both directions of dominance, and the back-pointer is only built
-// (via mkRef) if the solution survives. Returns whether it was inserted.
-func (c *Curve) TryInsert(load, req, area float64, mkRef func() any) bool {
+// decides both directions of dominance. An inserted solution is always the
+// last one, with a zero Ref; callers that need a back-pointer build it only
+// then, so rejected candidates cost none. Returns whether it was inserted.
+func (c *Curve) TryInsert(load, req, area float64) bool {
 	sols := c.Sols
 	firstDead := -1
 	for i := range sols {
@@ -282,9 +285,6 @@ func (c *Curve) TryInsert(load, req, area float64, mkRef func() any) bool {
 		}
 	}
 	s := Solution{Load: load, Req: req, Area: area}
-	if mkRef != nil {
-		s.Ref = mkRef()
-	}
 	if firstDead < 0 {
 		c.Sols = append(sols, s)
 		assertInserted(c, "TryInsert")
@@ -304,11 +304,21 @@ func (c *Curve) TryInsert(load, req, area float64, mkRef func() any) bool {
 
 // Cap thins the curve to at most max solutions while keeping the endpoints
 // of the frontier. It keeps the best-required-time and best-area extremes
-// and fills the budget with solutions evenly spaced along the frontier.
-// Capping trades optimality for speed exactly like coarser load
-// quantization; max <= 0 means no cap.
+// and fills the budget with solutions evenly spaced along the frontier;
+// max == 1 keeps just the BestReq solution. Capping trades optimality for
+// speed exactly like coarser load quantization; max <= 0 means no cap.
+//
+// Cap works in place: the picked indices strictly increase, so each kept
+// solution moves to a slot at or before its own and the backing array is
+// reused.
 func (c *Curve) Cap(max int) {
 	if max <= 0 || len(c.Sols) <= max {
+		return
+	}
+	if max == 1 {
+		best, _ := c.BestReq()
+		c.Sols = append(c.Sols[:0], best)
+		assertNonInferior(c, "Cap")
 		return
 	}
 	// Insertion sort by descending req: curves here are small (a few dozen
@@ -323,8 +333,8 @@ func (c *Curve) Cap(max int) {
 		}
 		sols[j+1] = s
 	}
-	kept := make([]Solution, 0, max)
-	step := float64(len(c.Sols)-1) / float64(max-1)
+	step := float64(len(sols)-1) / float64(max-1)
+	kept := 0
 	prev := -1
 	for i := 0; i < max; i++ {
 		idx := int(math.Round(float64(i) * step))
@@ -332,9 +342,10 @@ func (c *Curve) Cap(max int) {
 			continue
 		}
 		prev = idx
-		kept = append(kept, c.Sols[idx])
+		sols[kept] = sols[idx]
+		kept++
 	}
-	c.Sols = kept
+	c.Sols = sols[:kept]
 	assertNonInferior(c, "Cap")
 }
 
@@ -392,8 +403,9 @@ func (c *Curve) MinAreaMeetingReq(reqFloor float64) (best Solution, ok bool) {
 // WireOp describes the effect of extending every solution of a curve through
 // a wire of the given λ length: the Elmore delay of the wire is charged
 // against the required time and the wire capacitance is added to the load.
-// mkRef, if non-nil, builds the new solution's Ref from the old solution.
-func (c *Curve) WireOp(t rc.Technology, length int64, mkRef func(Solution) any) *Curve {
+// mkRef, if non-nil, builds the new solution's Ref from the old solution;
+// otherwise the old Ref is kept.
+func (c *Curve) WireOp(t rc.Technology, length int64, mkRef func(Solution) int32) *Curve {
 	out := &Curve{Sols: make([]Solution, 0, len(c.Sols))}
 	wc := t.WireC(length)
 	for _, s := range c.Sols {
@@ -416,8 +428,9 @@ func (c *Curve) WireOp(t rc.Technology, length int64, mkRef func(Solution) any) 
 
 // BufferOp returns the curve obtained by driving every solution with gate g:
 // the load collapses to g's input capacitance, the gate delay (at nominal
-// slew) is charged, and the gate area is added.
-func (c *Curve) BufferOp(t rc.Technology, g rc.Gate, mkRef func(Solution) any) *Curve {
+// slew) is charged, and the gate area is added. mkRef, if non-nil, builds
+// the new solution's Ref from the old solution.
+func (c *Curve) BufferOp(t rc.Technology, g rc.Gate, mkRef func(Solution) int32) *Curve {
 	out := &Curve{Sols: make([]Solution, 0, len(c.Sols))}
 	cin := t.QuantizeLoad(g.Cin)
 	for _, s := range c.Sols {
@@ -439,7 +452,7 @@ func (c *Curve) BufferOp(t rc.Technology, g rc.Gate, mkRef func(Solution) any) *
 // JoinOp returns the cross-product merge of two curves rooted at the same
 // point: loads and areas add, required times take the minimum. mkRef builds
 // the merged Ref from the two constituents.
-func JoinOp(a, b *Curve, mkRef func(x, y Solution) any) *Curve {
+func JoinOp(a, b *Curve, mkRef func(x, y Solution) int32) *Curve {
 	out := &Curve{Sols: make([]Solution, 0, len(a.Sols)*len(b.Sols))}
 	for _, x := range a.Sols {
 		for _, y := range b.Sols {

@@ -153,6 +153,85 @@ func TestCap(t *testing.T) {
 	}
 }
 
+// TestCapOne is the regression test for Cap(1) on two or more solutions,
+// which used to panic with an index out of range: the even-spacing step
+// (n−1)/(max−1) divided by zero. Cap(1) keeps the BestReq solution.
+func TestCapOne(t *testing.T) {
+	for n := 2; n <= 6; n++ {
+		c := &Curve{}
+		for i := 0; i < n; i++ {
+			s := sol(float64(i)/10, float64((i*7)%n), float64(2000-i*100))
+			s.Ref = int32(i + 1)
+			c.Add(s)
+		}
+		best, _ := c.BestReq()
+		c.Cap(1)
+		if c.Len() != 1 || c.Sols[0] != best {
+			t.Fatalf("n=%d: Cap(1) kept %v, want just %v", n, c.Sols, best)
+		}
+	}
+}
+
+// capReference is the allocating form of Cap for max ≥ 2: sort by descending
+// req, then copy the evenly spaced picks into a new slice. The in-place Cap
+// must keep exactly the same solutions in the same order.
+func capReference(sols []Solution, max int) []Solution {
+	if max <= 0 || len(sols) <= max {
+		return sols
+	}
+	for i := 1; i < len(sols); i++ {
+		s := sols[i]
+		j := i - 1
+		for j >= 0 && sols[j].Req < s.Req {
+			sols[j+1] = sols[j]
+			j--
+		}
+		sols[j+1] = s
+	}
+	kept := make([]Solution, 0, max)
+	step := float64(len(sols)-1) / float64(max-1)
+	prev := -1
+	for i := 0; i < max; i++ {
+		idx := int(math.Round(float64(i) * step))
+		if idx == prev {
+			continue
+		}
+		prev = idx
+		kept = append(kept, sols[idx])
+	}
+	return kept
+}
+
+func TestCapInPlaceMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		// A pruned frontier in shuffled order, as the DP's inserts leave
+		// it; few distinct req values, so ties exercise the stable sort.
+		pool := &Curve{}
+		for i := 0; i < 1+rng.Intn(80); i++ {
+			pool.Add(sol(rng.Float64(), float64(rng.Intn(8)), rng.Float64()*1000))
+		}
+		pool.Prune()
+		sols := pool.Sols
+		rng.Shuffle(len(sols), func(i, j int) { sols[i], sols[j] = sols[j], sols[i] })
+		for i := range sols {
+			sols[i].Ref = int32(i + 1)
+		}
+		max := 2 + rng.Intn(10)
+		want := capReference(append([]Solution(nil), sols...), max)
+		c := &Curve{Sols: sols}
+		c.Cap(max)
+		if len(c.Sols) != len(want) {
+			t.Fatalf("trial %d: Cap(%d) kept %d, reference %d", trial, max, len(c.Sols), len(want))
+		}
+		for i := range want {
+			if c.Sols[i] != want[i] {
+				t.Fatalf("trial %d: Cap(%d) pick %d = %v, reference %v", trial, max, i, c.Sols[i], want[i])
+			}
+		}
+	}
+}
+
 func TestSelectors(t *testing.T) {
 	c := &Curve{}
 	if _, ok := c.BestReq(); ok {

@@ -19,11 +19,14 @@ import (
 //   - append, inside a loop, to a local whose backing was never
 //     capacity-hinted (hint = 3-index make or reslice like sols[:0])
 //
-// Plain struct literals, sized slice makes, closures, and calls are not
-// flagged — they are either stack-allocated or the call target's own
-// business. A deliberate allocation on a hot path (a placeholder that must
-// have distinct identity, a snapshot copy) carries
-// //lint:allow hotpath-alloc -- <why>.
+// Plain struct literals, sized slice makes and closures are not flagged —
+// they are stack-allocated or sized once. Calls are followed instead: every
+// module function a registered kernel reaches through resolved static calls
+// (the conservative call graph of callgraph.go) is policed like the kernel
+// itself, so a helper cannot hide an allocation the kernel makes per call.
+// Calls through function values and interfaces are not followed. A
+// deliberate allocation on a hot path (a page of a slab, a stored copy)
+// carries //lint:allow hotpath-alloc -- <why>.
 //
 // The registry is exported so the benchmark suite and tests can consult or
 // extend the fence; entries map the type-checker's fully-qualified function
@@ -53,6 +56,7 @@ var HotPaths = map[string]string{
 }
 
 func checkHotPathAllocs(p *Package) []Diagnostic {
+	reached := hotReach(p.Graph())
 	var out []Diagnostic
 	for _, f := range p.Files {
 		if f.Test {
@@ -67,10 +71,15 @@ func checkHotPathAllocs(p *Package) []Diagnostic {
 			if !ok {
 				continue
 			}
+			via := ""
 			if _, hot := HotPaths[fn.FullName()]; !hot {
-				continue
+				kernel, ok := reached[fn]
+				if !ok {
+					continue
+				}
+				via = " (reached from hot kernel " + kernel + ")"
 			}
-			hc := &hotChecker{p: p, f: f, hinted: hintedSlices(p, fd.Body)}
+			hc := &hotChecker{p: p, f: f, via: via, hinted: hintedSlices(p, fd.Body)}
 			hc.walk(fd.Body, 0)
 			out = append(out, hc.out...)
 		}
@@ -79,15 +88,47 @@ func checkHotPathAllocs(p *Package) []Diagnostic {
 	return out
 }
 
+// hotReach maps every module function reachable from a HotPaths kernel
+// through the call graph's static call edges, kernels excluded, to the name
+// of a kernel it is reached from.
+func hotReach(g *CallGraph) map[*types.Func]string {
+	reached := map[*types.Func]string{}
+	var queue []*types.Func
+	for fn := range g.Nodes {
+		if _, hot := HotPaths[fn.FullName()]; hot {
+			queue = append(queue, fn)
+			reached[fn] = fn.FullName()
+		}
+	}
+	for len(queue) > 0 {
+		fn := queue[0]
+		queue = queue[1:]
+		for _, callee := range g.Nodes[fn].Calls {
+			if _, seen := reached[callee]; seen || g.Nodes[callee] == nil {
+				continue
+			}
+			reached[callee] = reached[fn]
+			queue = append(queue, callee)
+		}
+	}
+	for fn := range reached {
+		if _, hot := HotPaths[fn.FullName()]; hot {
+			delete(reached, fn)
+		}
+	}
+	return reached
+}
+
 type hotChecker struct {
 	p      *Package
 	f      *File
+	via    string // for a reached helper, the kernel it is reached from
 	hinted map[*types.Var]bool
 	out    []Diagnostic
 }
 
 func (hc *hotChecker) diag(pos ast.Node, format string, args ...any) {
-	hc.out = append(hc.out, hc.f.diag(pos.Pos(), "hotpath-alloc", format, args...))
+	hc.out = append(hc.out, hc.f.diag(pos.Pos(), "hotpath-alloc", format+hc.via, args...))
 }
 
 // hintedSlices collects local slice variables whose backing array carries a

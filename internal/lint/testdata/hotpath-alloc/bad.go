@@ -23,5 +23,12 @@ func hotKernel(pts []pt, n int) int {
 		out = append(out, i) // want hotpath-alloc
 	}
 	sink(acc) // want hotpath-alloc
-	return acc + len(out)
+	return acc + len(out) + scaled(n)
+}
+
+// scaled is not registered, but hotKernel calls it: the fence follows the
+// static call and polices the helper's body as well.
+func scaled(n int) int {
+	p := &pt{x: float64(n)} // want hotpath-alloc
+	return int(p.x)
 }

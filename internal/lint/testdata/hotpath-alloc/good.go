@@ -20,7 +20,13 @@ func hotClean(xs []float64, n int) float64 {
 	for _, x := range out {
 		a.x += x
 	}
-	return a.x + buf[0]
+	return a.x + buf[0] + pageOf(n).x
+}
+
+// pageOf is reached from hotClean, so the fence polices it; its allocation
+// is deliberate and carries a reasoned allowance.
+func pageOf(n int) *pt {
+	return &pt{x: float64(n)} //lint:allow hotpath-alloc -- fixture: one allocation amortized over n solutions
 }
 
 // coldHelper is not in the registry: the fence does not police it.

@@ -55,20 +55,27 @@ func DefaultOptions() Options {
 }
 
 // chainRef reconstructs a chain solution: the node drives direct sinks
-// ord[i..i+direct-1] plus, if child != nil, one buffer continuing the chain.
+// ord[i..i+direct-1] plus, if child != 0, one buffer continuing the chain.
 type chainRef struct {
 	buffer rc.Gate
-	i      int // first direct sink position (in the req-sorted order)
-	direct int // number of direct sinks
-	child  *chainRef
+	i      int   // first direct sink position (in the req-sorted order)
+	direct int   // number of direct sinks
+	child  int32 // index of the next level's chainRef; 0 ends the chain
 }
 
 // Chain is the logic-domain result: the req-sorted order used and the final
-// curve at the driver, each solution's Ref being a *chainRef.
+// curve at the driver, each solution's Ref indexing the chain's refs.
 type Chain struct {
 	Net   *net.Net
 	Order order.Order // sinks sorted by increasing required time
 	Curve *curve.Curve
+
+	refs []chainRef // record 0 is "no ref"
+}
+
+func (ch *Chain) newRef(r chainRef) int32 {
+	ch.refs = append(ch.refs, r)
+	return int32(len(ch.refs) - 1)
 }
 
 // Build runs the LT-Tree DP for the net. Sink loads and required times are
@@ -83,6 +90,7 @@ func Build(n *net.Net, lib *buflib.Library, tech rc.Technology, opts Options) (*
 		reqs[i] = s.Req
 	}
 	ord := order.ByRequiredTime(reqs)
+	ch := &Chain{Net: n, Order: ord, refs: []chainRef{{}}}
 	nn := n.N()
 	wlm := opts.WireLoadPerSink
 
@@ -131,15 +139,11 @@ func Build(n *net.Net, lib *buflib.Library, tech rc.Technology, opts Options) (*
 				}
 				req := math.Min(baseReq, tail.Req)
 				for _, b := range lib.Buffers {
-					var childRef *chainRef
-					if tail.Ref != nil {
-						childRef = tail.Ref.(*chainRef)
-					}
 					acc.Add(curve.Solution{
 						Load: tech.QuantizeLoad(b.Cin),
 						Req:  req - b.DelayNominal(tech, load),
 						Area: tail.Area + b.Area,
-						Ref:  &chainRef{buffer: b, i: i, direct: direct, child: childRef},
+						Ref:  ch.newRef(chainRef{buffer: b, i: i, direct: direct, child: tail.Ref}),
 					})
 				}
 			}
@@ -176,12 +180,9 @@ func Build(n *net.Net, lib *buflib.Library, tech rc.Technology, opts Options) (*
 			if j == nn && nn == 0 {
 				continue
 			}
-			var childRef *chainRef
-			if tail.Ref != nil {
-				childRef = tail.Ref.(*chainRef)
-			}
+			childRef := tail.Ref
 			if j == nn {
-				childRef = nil
+				childRef = 0
 			}
 			tailLoad := tail.Load
 			if j < nn {
@@ -191,7 +192,7 @@ func Build(n *net.Net, lib *buflib.Library, tech rc.Technology, opts Options) (*
 				Load: tech.QuantizeLoad(baseLoad + tailLoad),
 				Req:  math.Min(baseReq, tail.Req),
 				Area: tail.Area,
-				Ref:  &chainRef{i: 0, direct: direct, child: childRef},
+				Ref:  ch.newRef(chainRef{i: 0, direct: direct, child: childRef}),
 			})
 		}
 	}
@@ -200,7 +201,8 @@ func Build(n *net.Net, lib *buflib.Library, tech rc.Technology, opts Options) (*
 	if final.Empty() {
 		return nil, fmt.Errorf("lttree: no solution for net %q", n.Name)
 	}
-	return &Chain{Net: n, Order: ord, Curve: final}, nil
+	ch.Curve = final
+	return ch, nil
 }
 
 // cluster is one hierarchy level of the chosen chain during embedding.
@@ -246,7 +248,8 @@ func placeAndRouteSolution(ch *Chain, sol curve.Solution, tech rc.Technology, op
 	// Materialize clusters from the ref chain.
 	var top *cluster
 	var prev *cluster
-	for r := sol.Ref.(*chainRef); r != nil; r = r.child {
+	for i := sol.Ref; i != 0; i = ch.refs[i].child {
+		r := &ch.refs[i]
 		c := &cluster{}
 		if r.buffer.Name != "" {
 			b := r.buffer

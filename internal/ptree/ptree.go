@@ -52,18 +52,27 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// ref reconstructs solutions; it is stored in curve.Solution.Ref.
+// refKind discriminates ref shapes.
+type refKind int8
+
+const (
+	refLeaf refKind = iota // wire from point to sink
+	refJoin                // left (a) and right (b) joined at point
+	refVia                 // transfer: wire from point to a's point
+)
+
+// ref reconstructs solutions: curve.Solution.Ref indexes the solver's refs.
 type ref struct {
-	point int // candidate index the solution is rooted at
-	// Exactly one of the following shapes is set:
-	sink        int  // leaf: sink index (valid when isLeaf)
-	isLeaf      bool //
-	left, right *ref // join at the same point
-	via         *ref // transfer: wire from point to via.point
+	kind  refKind
+	point int32 // candidate index the solution is rooted at
+	sink  int32 // refLeaf: sink index
+	a, b  int32 // sub-solution refs
 }
 
 // Solver runs PTREE on one net. Create with NewSolver, then call Solve with
 // any sink order; the candidate set and technology are fixed per solver.
+// Each run keeps its refs on the solver, so a Solver is not safe for
+// concurrent use.
 type Solver struct {
 	Net   *net.Net
 	Cands []geom.Point
@@ -72,6 +81,13 @@ type Solver struct {
 
 	srcIdx int
 	dist   [][]int64 // candidate-to-candidate Manhattan distances
+	refs   []ref     // back-pointers of the last Curves run; 0 is "no ref"
+}
+
+// newRef stores r and returns its index.
+func (s *Solver) newRef(r ref) int32 {
+	s.refs = append(s.refs, r)
+	return int32(len(s.refs) - 1)
 }
 
 // NewSolver prepares a PTREE solver. The source position is appended to the
@@ -115,19 +131,21 @@ func (s *Solver) leafCurve(p, sinkIdx int) *curve.Curve {
 		Load: s.Tech.QuantizeLoad(sk.Load + s.Tech.WireC(wl)),
 		Req:  sk.Req - s.Tech.WireElmore(wl, sk.Load),
 		Area: s.Opts.WireCostWeight * float64(wl),
-		Ref:  &ref{point: p, sink: sinkIdx, isLeaf: true},
+		Ref:  s.newRef(ref{kind: refLeaf, point: int32(p), sink: int32(sinkIdx)}),
 	})
 	return c
 }
 
 // Curves computes the full DP table for the given order and returns the
 // final solution curve at every candidate: result[p] covers all sinks rooted
-// at candidate p. The caller picks a solution and calls BuildTree.
+// at candidate p. The caller picks a solution and calls BuildTree before
+// the next Curves call, which starts a fresh ref store.
 func (s *Solver) Curves(ord order.Order) []*curve.Curve {
 	n := len(ord)
 	if n == 0 {
 		return nil
 	}
+	s.refs = append(s.refs[:0], ref{})
 	k := len(s.Cands)
 	// tab[p][i][j] with j >= i; index intervals by i*n + j.
 	tab := make([][]*curve.Curve, k)
@@ -148,8 +166,8 @@ func (s *Solver) Curves(ord order.Order) []*curve.Curve {
 					if left == nil || right == nil || left.Empty() || right.Empty() {
 						continue
 					}
-					acc.AddAll(curve.JoinOp(left, right, func(x, y curve.Solution) any {
-						return &ref{point: p, left: x.Ref.(*ref), right: y.Ref.(*ref)}
+					acc.AddAll(curve.JoinOp(left, right, func(x, y curve.Solution) int32 {
+						return s.newRef(ref{kind: refJoin, point: int32(p), a: x.Ref, b: y.Ref})
 					}))
 				}
 				acc.Prune()
@@ -186,8 +204,8 @@ func (s *Solver) transfer(tab [][]*curve.Curve, i, j, n int) {
 					continue
 				}
 				wl := s.dist[p][q]
-				moved := snapshots[q].WireOp(s.Tech, wl, func(old curve.Solution) any {
-					return &ref{point: p, via: old.Ref.(*ref)}
+				moved := snapshots[q].WireOp(s.Tech, wl, func(old curve.Solution) int32 {
+					return s.newRef(ref{kind: refVia, point: int32(p), a: old.Ref})
 				})
 				for si := range moved.Sols {
 					moved.Sols[si].Area += s.Opts.WireCostWeight * float64(wl)
@@ -219,12 +237,12 @@ func (s *Solver) Solve(ord order.Order) (*tree.Tree, curve.Solution, error) {
 }
 
 // BuildTree reconstructs the routing tree of a solution returned by Curves
-// or Solve. The solution must be rooted at the source candidate.
+// or Solve, before the next Curves call. The solution must be rooted at the
+// source candidate.
 func (s *Solver) BuildTree(sol curve.Solution) *tree.Tree {
 	t := tree.New(s.Net)
-	r := sol.Ref.(*ref)
-	node := s.buildNode(r)
-	if r.point == s.srcIdx {
+	node := s.buildNode(sol.Ref)
+	if int(s.refs[sol.Ref].point) == s.srcIdx {
 		// The DP root coincides with the source: graft its children directly.
 		t.Root.Children = node.Children
 	} else {
@@ -236,20 +254,21 @@ func (s *Solver) BuildTree(sol curve.Solution) *tree.Tree {
 // buildNode turns a ref DAG into tree nodes. Joins at the same point are
 // flattened into a single Steiner node so the output degree reflects the
 // physical branch.
-func (s *Solver) buildNode(r *ref) *tree.Node {
+func (s *Solver) buildNode(i int32) *tree.Node {
+	r := s.refs[i]
 	n := &tree.Node{Kind: tree.KindSteiner, Pos: s.Cands[r.point]}
-	switch {
-	case r.isLeaf:
-		n.AddChild(&tree.Node{Kind: tree.KindSink, Pos: s.Net.Sinks[r.sink].Pos, SinkIdx: r.sink})
-	case r.via != nil:
-		child := s.buildNode(r.via)
+	switch r.kind {
+	case refLeaf:
+		n.AddChild(&tree.Node{Kind: tree.KindSink, Pos: s.Net.Sinks[r.sink].Pos, SinkIdx: int(r.sink)})
+	case refVia:
+		child := s.buildNode(r.a)
 		if child.Pos == n.Pos {
 			n.Children = child.Children
 		} else {
 			n.AddChild(child)
 		}
 	default:
-		for _, part := range []*ref{r.left, r.right} {
+		for _, part := range []int32{r.a, r.b} {
 			sub := s.buildNode(part)
 			// Sub is rooted at the same point; flatten its children here.
 			n.Children = append(n.Children, sub.Children...)

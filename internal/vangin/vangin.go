@@ -33,15 +33,39 @@ type Options struct {
 // DefaultOptions returns the experiment configuration.
 func DefaultOptions() Options { return Options{SegLen: 0, MaxSols: 12} }
 
-// ref reconstructs the buffered tree.
+// refKind discriminates ref shapes.
+type refKind int8
+
+const (
+	refSink   refKind = iota // sink pin
+	refBranch                // branch node with no children joined yet
+	refJoin                  // branch a with one more child b joined
+	refBuffer                // buffer at pos driving a
+	refWire                  // wire waypoint at pos above a
+)
+
+// ref reconstructs the buffered tree: curve.Solution.Ref indexes the run's
+// refs. A branch node's children are the b's of its join chain.
 type ref struct {
-	node    *tree.Node // original tree node this solution is rooted at (nil for wire midpoints)
-	buffer  *rc.Gate   // buffer inserted here, if any
-	child   *ref       // solution below the inserted buffer / this point
-	kids    []*ref     // children solutions at a branch node
+	kind    refKind
 	pos     geom.Point
 	sinkIdx int
-	isSink  bool
+	buffer  *rc.Gate // refBuffer: the inserted or fixed gate
+	a, b    int32
+}
+
+// run is one Insert call's state: the inputs plus the ref store its
+// solutions index. Record 0 is "no ref".
+type run struct {
+	lib  *buflib.Library
+	tech rc.Technology
+	opts Options
+	refs []ref
+}
+
+func (r *run) newRef(x ref) int32 {
+	r.refs = append(r.refs, x)
+	return int32(len(r.refs) - 1)
 }
 
 // Insert runs buffer insertion on t (which must be unbuffered or partially
@@ -57,7 +81,8 @@ func Insert(t *tree.Tree, lib *buflib.Library, tech rc.Technology, opts Options)
 	if root == nil {
 		return nil, curve.Solution{}, fmt.Errorf("vangin: empty tree")
 	}
-	c := bottomUp(t, root, lib, tech, opts)
+	r := &run{lib: lib, tech: tech, opts: opts, refs: []ref{{}}}
+	c := r.bottomUp(t, root)
 	if c.Empty() {
 		return nil, curve.Solution{}, fmt.Errorf("vangin: no solutions")
 	}
@@ -74,7 +99,7 @@ func Insert(t *tree.Tree, lib *buflib.Library, tech rc.Technology, opts Options)
 		}
 	}
 	out := tree.New(t.Net)
-	out.Root.Children = buildNode(best.Ref.(*ref)).Children
+	out.Root.Children = r.buildNode(best.Ref).Children
 	if err := out.Validate(); err != nil {
 		return nil, curve.Solution{}, fmt.Errorf("vangin: rebuilt tree invalid: %w", err)
 	}
@@ -83,44 +108,37 @@ func Insert(t *tree.Tree, lib *buflib.Library, tech rc.Technology, opts Options)
 
 // bottomUp returns the solution curve looking into node n from its parent,
 // before the parent wire (the wire to the parent is applied by the caller).
-func bottomUp(t *tree.Tree, n *tree.Node, lib *buflib.Library, tech rc.Technology, opts Options) *curve.Curve {
+func (r *run) bottomUp(t *tree.Tree, n *tree.Node) *curve.Curve {
 	var base *curve.Curve
 	switch n.Kind {
 	case tree.KindSink:
 		base = &curve.Curve{}
 		s := t.Net.Sinks[n.SinkIdx]
 		base.Add(curve.Solution{
-			Load: tech.QuantizeLoad(s.Load),
+			Load: r.tech.QuantizeLoad(s.Load),
 			Req:  s.Req,
-			Ref:  &ref{node: n, pos: n.Pos, sinkIdx: n.SinkIdx, isSink: true},
+			Ref:  r.newRef(ref{kind: refSink, pos: n.Pos, sinkIdx: n.SinkIdx}),
 		})
 		return base // no buffer directly on a sink pin
 	default:
 		// Join children through their wires.
 		base = &curve.Curve{}
-		base.Add(curve.Solution{Req: inf(), Ref: &ref{node: n, pos: n.Pos}})
+		base.Add(curve.Solution{Req: inf(), Ref: r.newRef(ref{kind: refBranch, pos: n.Pos})})
 		for _, ch := range n.Children {
-			cc := bottomUp(t, ch, lib, tech, opts)
-			cc = wireWithInsertion(cc, n.Pos, ch.Pos, lib, tech, opts)
-			base = curve.JoinOp(base, cc, func(x, y curve.Solution) any {
-				xr := x.Ref.(*ref)
-				merged := &ref{node: n, pos: n.Pos}
-				merged.kids = append(merged.kids, xr.kids...)
-				if len(xr.kids) == 0 && (xr.isSink || xr.child != nil || xr.buffer != nil) {
-					merged.kids = append(merged.kids, xr)
-				}
-				merged.kids = append(merged.kids, y.Ref.(*ref))
-				return merged
+			cc := r.bottomUp(t, ch)
+			cc = r.wireWithInsertion(cc, n.Pos, ch.Pos)
+			base = curve.JoinOp(base, cc, func(x, y curve.Solution) int32 {
+				return r.newRef(ref{kind: refJoin, pos: n.Pos, a: x.Ref, b: y.Ref})
 			})
 			base.Prune()
-			base.Cap(opts.MaxSols)
+			base.Cap(r.opts.MaxSols)
 		}
 	}
 	if n.Kind == tree.KindBuffer {
 		// Existing buffer is fixed: apply it, no choice.
 		b := n.Buffer
-		base = base.BufferOp(tech, b, func(old curve.Solution) any {
-			return &ref{node: n, pos: n.Pos, buffer: &b, child: old.Ref.(*ref)}
+		base = base.BufferOp(r.tech, b, func(old curve.Solution) int32 {
+			return r.newRef(ref{kind: refBuffer, pos: n.Pos, buffer: &b, a: old.Ref})
 		})
 		base.Prune()
 		return base
@@ -129,34 +147,34 @@ func bottomUp(t *tree.Tree, n *tree.Node, lib *buflib.Library, tech rc.Technolog
 		return base
 	}
 	// Steiner point: optionally insert a buffer.
-	return withBufferOption(base, n.Pos, lib, tech, opts)
+	return r.withBufferOption(base, n.Pos)
 }
 
 // withBufferOption unions the unbuffered curve with one buffered variant per
 // library cell, at position pos.
-func withBufferOption(c *curve.Curve, pos geom.Point, lib *buflib.Library, tech rc.Technology, opts Options) *curve.Curve {
+func (r *run) withBufferOption(c *curve.Curve, pos geom.Point) *curve.Curve {
 	acc := c.Clone()
-	for i := range lib.Buffers {
-		b := lib.Buffers[i]
-		acc.AddAll(c.BufferOp(tech, b, func(old curve.Solution) any {
-			return &ref{pos: pos, buffer: &b, child: old.Ref.(*ref)}
+	for i := range r.lib.Buffers {
+		b := &r.lib.Buffers[i]
+		acc.AddAll(c.BufferOp(r.tech, *b, func(old curve.Solution) int32 {
+			return r.newRef(ref{kind: refBuffer, pos: pos, buffer: b, a: old.Ref})
 		}))
 	}
 	acc.Prune()
-	acc.Cap(opts.MaxSols)
+	acc.Cap(r.opts.MaxSols)
 	return acc
 }
 
 // wireWithInsertion carries curve c (rooted at childPos) up the wire to
 // parentPos, inserting optional buffers at interior subdivision points.
-func wireWithInsertion(c *curve.Curve, parentPos, childPos geom.Point, lib *buflib.Library, tech rc.Technology, opts Options) *curve.Curve {
+func (r *run) wireWithInsertion(c *curve.Curve, parentPos, childPos geom.Point) *curve.Curve {
 	total := geom.Dist(parentPos, childPos)
 	if total == 0 {
 		return c
 	}
 	segs := int64(1)
-	if opts.SegLen > 0 && total > opts.SegLen {
-		segs = (total + opts.SegLen - 1) / opts.SegLen
+	if r.opts.SegLen > 0 && total > r.opts.SegLen {
+		segs = (total + r.opts.SegLen - 1) / r.opts.SegLen
 	}
 	cur := c
 	for s := int64(0); s < segs; s++ {
@@ -171,14 +189,14 @@ func wireWithInsertion(c *curve.Curve, parentPos, childPos geom.Point, lib *bufl
 			X: childPos.X + int64(frac*float64(parentPos.X-childPos.X)),
 			Y: childPos.Y + int64(frac*float64(parentPos.Y-childPos.Y)),
 		}
-		cur = cur.WireOp(tech, segLen, func(old curve.Solution) any {
-			return &ref{pos: pos, child: old.Ref.(*ref)}
+		cur = cur.WireOp(r.tech, segLen, func(old curve.Solution) int32 {
+			return r.newRef(ref{kind: refWire, pos: pos, a: old.Ref})
 		})
 		cur.Prune()
 		if s < segs-1 { // interior point: buffer option
-			cur = withBufferOption(cur, pos, lib, tech, opts)
+			cur = r.withBufferOption(cur, pos)
 		}
-		cur.Cap(opts.MaxSols)
+		cur.Cap(r.opts.MaxSols)
 	}
 	return cur
 }
@@ -187,25 +205,32 @@ func inf() float64 { return 1e300 }
 
 // buildNode converts a ref into a tree node subtree rooted at the ref's
 // position.
-func buildNode(r *ref) *tree.Node {
-	switch {
-	case r.isSink:
-		return &tree.Node{Kind: tree.KindSink, Pos: r.pos, SinkIdx: r.sinkIdx}
-	case r.buffer != nil:
-		n := &tree.Node{Kind: tree.KindBuffer, Pos: r.pos, Buffer: *r.buffer}
-		n.AddChild(buildNode(r.child))
+func (r *run) buildNode(i int32) *tree.Node {
+	x := r.refs[i]
+	switch x.kind {
+	case refSink:
+		return &tree.Node{Kind: tree.KindSink, Pos: x.pos, SinkIdx: x.sinkIdx}
+	case refBuffer:
+		n := &tree.Node{Kind: tree.KindBuffer, Pos: x.pos, Buffer: *x.buffer}
+		n.AddChild(r.buildNode(x.a))
 		return n
-	case r.child != nil:
+	case refWire:
 		// Pure wire waypoint: collapse — the child carries the position that
 		// matters; wirelength is preserved because waypoints lie on the
 		// Manhattan path.
-		n := &tree.Node{Kind: tree.KindSteiner, Pos: r.pos}
-		n.AddChild(buildNode(r.child))
+		n := &tree.Node{Kind: tree.KindSteiner, Pos: x.pos}
+		n.AddChild(r.buildNode(x.a))
 		return n
 	default:
-		n := &tree.Node{Kind: tree.KindSteiner, Pos: r.pos}
-		for _, k := range r.kids {
-			n.AddChild(buildNode(k))
+		// Walk the join chain back to its empty branch, collecting the
+		// children right to left.
+		var kids []int32
+		for ; x.kind == refJoin; x = r.refs[x.a] {
+			kids = append(kids, x.b)
+		}
+		n := &tree.Node{Kind: tree.KindSteiner, Pos: x.pos}
+		for k := len(kids) - 1; k >= 0; k-- {
+			n.AddChild(r.buildNode(kids[k]))
 		}
 		return n
 	}
