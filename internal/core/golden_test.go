@@ -20,7 +20,9 @@ import (
 )
 
 // The golden corpus pins the DP's answers bit for bit: for seeded nets of
-// 4–7 sinks under both §III.1 goals it records the float64 bits of the
+// 4–7 sinks under both §III.1 goals, plus 4–5 sinks under the relaxed
+// construction (MaxInternalChildren = 2, two inner groups per sub-problem),
+// it records the float64 bits of the
 // chosen solution, the loop count, the final order, a canonical hash of the
 // built tree and a hash of the served source frontier in storage order. Any
 // change to internal/core or internal/curve that claims "same behaviour"
@@ -90,17 +92,23 @@ func treeHash(t *tree.Tree) string {
 // engine, as the service's engine cache does for a new required-time floor —
 // under variant II with a floor 5% below the variant I optimum, so the
 // area-minimizing search has room to trade required time for area.
-func runGoldenNet(t *testing.T, sinks int, seed int64) []goldenCase {
+// maxInternal is Options.MaxInternalChildren; 2 names the case "-relaxed".
+func runGoldenNet(t *testing.T, sinks int, seed int64, maxInternal int) []goldenCase {
 	t.Helper()
 	nt, cands, lib, tech, opts := goldenNet(sinks, seed)
+	opts.MaxInternalChildren = maxInternal
+	suffix := ""
+	if maxInternal >= 2 {
+		suffix = "-relaxed"
+	}
 	en := NewEngine(nt, cands, lib, tech, opts)
 	var out []goldenCase
 	var maxReq float64 // the variant I optimum
 	for _, mode := range []GoalMode{GoalMaxReq, GoalMinArea} {
-		name := fmt.Sprintf("n%d-s%d-maxreq", sinks, seed)
+		name := fmt.Sprintf("n%d-s%d-maxreq%s", sinks, seed, suffix)
 		if mode == GoalMinArea {
 			en.Opts.Goal = Goal{Mode: GoalMinArea, ReqFloor: maxReq - 0.05*math.Abs(maxReq)}
-			name = fmt.Sprintf("n%d-s%d-minarea", sinks, seed)
+			name = fmt.Sprintf("n%d-s%d-minarea%s", sinks, seed, suffix)
 		}
 		res, err := en.Merlin(nil)
 		if err != nil {
@@ -136,7 +144,13 @@ func TestGoldenCorpus(t *testing.T) {
 	var got []goldenCase
 	for sinks := 4; sinks <= 7; sinks++ {
 		for _, seed := range []int64{1, 2, 3} {
-			got = append(got, runGoldenNet(t, sinks, seed)...)
+			got = append(got, runGoldenNet(t, sinks, seed, 1)...)
+		}
+	}
+	// Nothing else pins the relaxed construction's answers.
+	for sinks := 4; sinks <= 5; sinks++ {
+		for _, seed := range []int64{1, 2, 3} {
+			got = append(got, runGoldenNet(t, sinks, seed, 2)...)
 		}
 	}
 	if *updateGolden {
