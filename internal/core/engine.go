@@ -1,12 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"runtime/debug"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 	"sync"
 	"time"
 
@@ -117,7 +117,7 @@ func (o Options) withDefaults() Options {
 
 // Engine runs BUBBLE_CONSTRUCT for one net over a fixed candidate set,
 // library and technology. It is reusable across MERLIN iterations; the
-// sink-run memo persists so overlapping neighborhoods share sub-solutions
+// sub-problem memo persists so overlapping neighborhoods share sub-solutions
 // (the OVERLAP reuse discussed in §III.4).
 type Engine struct {
 	Net   *net.Net
@@ -130,26 +130,19 @@ type Engine struct {
 	dist   [][]int64
 	margin int64 // root-window inflation in λ (0 = unrestricted)
 
-	// memo caches interval curves for runs of directly-attached sinks,
-	// keyed by the exact net-sink sequence. Entries are valid across
-	// (L,E,R) sub-problems and across MERLIN iterations because such runs
-	// are self-contained sub-problems (Lemma 7).
+	// memo caches sub-problem curves by content, across (L,E,R) sub-problems
+	// and MERLIN iterations. A sub-problem's curves depend only on which
+	// sinks it holds in which realized order, not on where in the order it
+	// sits (Lemma 7), so overlapping neighborhoods of consecutive iterations
+	// share them: the OVERLAP optimization of §III.4 ("keep the solution
+	// curves of the very last iteration ... at the cost of doubling the
+	// memory usage"). One table holds three kinds of entry, told apart by
+	// the first byte of the key (see memoKey): Γ sub-groups, whole *PTREE
+	// calls (bubble-aligned nestings often produce one item list from
+	// different (l,e,r) enumerations), and non-final runs of directly
+	// attached sinks.
 	memo map[string][]*curve.Curve
-
-	// gammaMemo caches Γ sub-problem curves across MERLIN iterations, keyed
-	// by content (grouping structure + the exact sink sequence): the curves
-	// of a sub-group depend only on which sinks it holds in which realized
-	// order, not on the positions, so overlapping neighborhoods of
-	// consecutive iterations share them. This is the OVERLAP optimization of
-	// §III.4 ("keep the solution curves of the very last iteration ...
-	// at the cost of doubling the memory usage").
-	gammaMemo map[string][]*curve.Curve
-
-	// starMemo caches whole *PTREE invocations by content: the inner group's
-	// content key plus the ordered directly-attached sinks. Bubble-aligned
-	// nestings frequently produce identical item lists from different
-	// (l,e,r) enumerations; this is the call-level complement of gammaMemo.
-	starMemo map[string][]*curve.Curve
+	key  []byte // memoKey's buffer, reused by every lookup
 
 	// refs holds every solution's back-pointer; pinned is an extra
 	// compaction root (see refs.go).
@@ -167,7 +160,7 @@ type Engine struct {
 	sums    []summary        // transfer: per-candidate summaries
 	mask    []bool           // intervalMask result
 
-	// stats
+	// stats: *PTREE calls run, and memo lookups of any kind that hit
 	StarDPCalls int
 	MemoHits    int
 
@@ -181,10 +174,10 @@ type Engine struct {
 // source position appended if missing.
 //
 // Concurrency contract: an Engine is NOT safe for concurrent use. Construct,
-// Merlin and Extract all mutate the engine's memo tables (memo, gammaMemo,
-// starMemo) and stats counters without synchronization — the memos are the
-// whole point of engine reuse (§III.4's OVERLAP optimization), and guarding
-// them would serialize the DP hot loops. Use one Engine per goroutine. The
+// Merlin and Extract all mutate the engine's memo table, key buffer, ref slab
+// and stats counters without synchronization — the memo is the whole point
+// of engine reuse (§III.4's OVERLAP optimization), and guarding it would
+// serialize the DP hot loops. Use one Engine per goroutine. The
 // inputs (net, candidates, library, technology) are only read, so any number
 // of engines may share them; this is what a worker pool relies on when each
 // worker owns its engines over shared immutable nets and libraries (see
@@ -192,9 +185,7 @@ type Engine struct {
 func NewEngine(n *net.Net, cands []geom.Point, lib *buflib.Library, tech rc.Technology, opts Options) *Engine {
 	en := &Engine{
 		Net: n, Lib: lib, Tech: tech, Opts: opts.withDefaults(),
-		memo:      map[string][]*curve.Curve{},
-		gammaMemo: map[string][]*curve.Curve{},
-		starMemo:  map[string][]*curve.Curve{},
+		memo: map[string][]*curve.Curve{},
 	}
 	en.Cands = geom.Dedup(cands)
 	en.srcIdx = -1
@@ -298,13 +289,67 @@ func (en *Engine) intervalMask(items []item) []bool {
 func (en *Engine) SourceIndex() int { return en.srcIdx }
 
 // item is one child of the sub-group being constructed: either a directly
-// attached sink or the (single) inner sub-group.
+// attached sink or an inner sub-group.
 type item struct {
-	group    []*curve.Curve // per-candidate curves of the inner group; nil for sinks
-	groupKey string         // content key of the group (gammaKey form)
-	sinkIdx  int            // net sink index (valid when group == nil)
-	pos      int            // order position (sinks only; diagnostic)
-	bbox     geom.Rect      // bounding box of the item's sinks (root window)
+	group   *innerGroup // nil for a directly attached sink
+	sinkIdx int         // net sink index (valid when group == nil)
+	bbox    geom.Rect   // bounding box of the item's sinks (root window)
+}
+
+// innerGroup is one already-solved sub-group nested as a child.
+type innerGroup struct {
+	curves []*curve.Curve // per-candidate Γ curves
+	ids    []int          // net sinks, in realized order
+	bbox   geom.Rect      // bounding box of the sinks
+	r      int            // rightmost span position
+	span   int
+	e      Chi
+}
+
+// innerGroups lists the solved sub-groups of lengths lMin..lMax that can nest
+// inside the sub-problem with sink positions G and span [R-span+1, R] (Fig. 9
+// lines 11–15), in (l, χ, r) order with r descending. Line 15 skips
+// incompatible nestings: a group holding a sink outside G.
+func (en *Engine) innerGroups(ord order.Order, G []int, R, span, lMin, lMax int, gam func(l int, e Chi, r int) []*curve.Curve) []innerGroup {
+	var out []innerGroup
+	for l := lMin; l <= lMax; l++ {
+		for _, e := range en.Opts.Chis {
+			ispan := l + Stretch(e)
+			if ispan < minSpan(e) {
+				continue
+			}
+			for r := R; r-ispan+1 >= R-span+1; r-- {
+				if !SpanFits(len(ord), r, l, e) {
+					continue
+				}
+				g := SinkSet(r, ispan, e)
+				if len(g) != l {
+					continue
+				}
+				inner := gam(l, e, r)
+				if inner == nil || !subset(g, G) {
+					continue
+				}
+				pts := make([]geom.Point, l)
+				for i, q := range g {
+					g[i] = ord[q] // SinkSet's fresh slice becomes the net-sink ids
+					pts[i] = en.Net.Sinks[g[i]].Pos
+				}
+				out = append(out, innerGroup{curves: inner, ids: g, bbox: geom.BoundingBox(pts), r: r, span: ispan, e: e})
+			}
+		}
+	}
+	return out
+}
+
+// subset reports whether every element of g is in G.
+func subset(g, G []int) bool {
+	for _, q := range g {
+		if !slices.Contains(G, q) {
+			return false
+		}
+	}
+	return true
 }
 
 // Construct runs BUBBLE_CONSTRUCT (Fig. 9) for the given sink order and
@@ -397,8 +442,8 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 				continue
 			}
 			sinkIdx := ord[g[0]]
-			key := gammaKey(e, []int{sinkIdx})
-			if cached, ok := en.gammaMemo[key]; ok {
+			cached, key := en.lookupGamma(e, []int{sinkIdx})
+			if cached != nil {
 				gamma[0][e][r] = cached
 				en.chargeSols(cached)
 				continue
@@ -411,7 +456,7 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 			}
 			cs := store(en.work)
 			gamma[0][e][r] = cs
-			en.gammaMemo[key] = cs
+			en.memo[key] = cs
 			en.chargeSols(cs)
 		}
 	}
@@ -444,66 +489,20 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 				for i, q := range G {
 					Gids[i] = ord[q]
 				}
-				key := gammaKey(E, Gids)
-				if cached, ok := en.gammaMemo[key]; ok {
+				cached, key := en.lookupGamma(E, Gids)
+				if cached != nil {
 					gamma[L-1][E][R] = cached
 					en.chargeSols(cached)
 					continue
 				}
-				inG := make(map[int]bool, len(G))
-				for _, p := range G {
-					inG[p] = true
-				}
 				reset(en.acc)
-				lMin := 1
-				if L-en.Opts.Alpha+1 > lMin {
-					lMin = L - en.Opts.Alpha + 1
+				lMin := max(1, L-en.Opts.Alpha+1)
+				groups := en.innerGroups(ord, G, R, span, lMin, L-1, gam)
+				for i := range groups {
+					en.accumulate(en.starDP(en.buildItems(ord, G, groups[i:i+1])))
 				}
-				for l := lMin; l <= L-1; l++ {
-					for _, e := range en.Opts.Chis {
-						ispan := l + Stretch(e)
-						if ispan < minSpan(e) {
-							continue
-						}
-						for r := R; r-ispan+1 >= R-span+1; r-- {
-							if !SpanFits(n, r, l, e) {
-								continue
-							}
-							g := SinkSet(r, ispan, e)
-							if len(g) != l {
-								continue
-							}
-							inner := gam(l, e, r)
-							if inner == nil {
-								continue
-							}
-							// Line 15: skip incompatible nestings (g ⊄ G).
-							ok := true
-							for _, q := range g {
-								if !inG[q] {
-									ok = false
-									break
-								}
-							}
-							if !ok {
-								continue
-							}
-							gids := make([]int, len(g))
-							for i, q := range g {
-								gids[i] = ord[q]
-							}
-							items := en.buildItems(ord, G, g, r, ispan, e, inner, gammaKey(e, gids))
-							res := en.starDP(items)
-							for p := 0; p < k; p++ {
-								for _, s := range res[p].Sols {
-									en.acc[p].InsertSol(s)
-								}
-							}
-						}
-					}
-				}
-				if en.Opts.MaxInternalChildren >= 2 && L >= 3 {
-					en.enumeratePairs(ord, G, inG, L, R, span, gam, en.acc)
+				if en.Opts.MaxInternalChildren >= 2 {
+					en.enumeratePairs(ord, G, L, R, span, gam)
 				}
 				any := false
 				for p := 0; p < k; p++ {
@@ -515,7 +514,7 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 				if any {
 					acc := store(en.acc)
 					gamma[L-1][E][R] = acc
-					en.gammaMemo[key] = acc
+					en.memo[key] = acc
 					en.chargeSols(acc)
 				}
 			}
@@ -531,18 +530,14 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 	return final, nil
 }
 
-// gammaKey is the content identity of a Γ sub-problem: grouping structure
-// plus the exact realized sink sequence. Sub-problems with equal keys have
-// identical solution curves regardless of where in the order they sit or
-// which MERLIN iteration asks (Lemma 7 across the whole run).
-func gammaKey(e Chi, ids []int) string {
-	var b strings.Builder
-	b.WriteByte(byte('0' + int(e)))
-	for _, id := range ids {
-		b.WriteByte('|')
-		b.WriteString(strconv.Itoa(id))
+// accumulate merges the per-candidate curves of one nesting into the Γ
+// accumulator of the sub-problem being built.
+func (en *Engine) accumulate(res []*curve.Curve) {
+	for p, c := range res {
+		for _, s := range c.Sols {
+			en.acc[p].InsertSol(s)
+		}
 	}
-	return b.String()
 }
 
 // leafSol is the minimum-distance path from candidate p to a sink.
@@ -580,40 +575,42 @@ func (en *Engine) addBufferedVariants(c *curve.Curve, p int) {
 }
 
 // buildItems assembles the ordered child list of the sub-group being built:
-// the inner group plus the directly attached sinks G−g. Bubble-out (Fig. 5):
-// a sink occupying the inner group's right hole is ordered immediately after
-// the group; one occupying the left hole immediately before it. Keys are in
-// half-position units to express "just before/after".
-func (en *Engine) buildItems(ord order.Order, G, g []int, r, ispan int, e Chi, inner []*curve.Curve, groupKey string) []item {
-	ing := make(map[int]bool, len(g))
-	for _, q := range g {
-		ing[q] = true
-	}
-	left := r - ispan + 1
+// the inner groups, whose spans are pairwise disjoint, plus the directly
+// attached sinks of G they leave out. Bubble-out (Fig. 5) applies per group:
+// a sink occupying a group's right hole is ordered immediately after that
+// group, one occupying its left hole immediately before it. Keys are in
+// half-position units to express "just before/after"; no two are equal.
+func (en *Engine) buildItems(ord order.Order, G []int, groups []innerGroup) []item {
 	type keyed struct {
 		key float64
 		it  item
 	}
-	gpts := make([]geom.Point, 0, len(g))
-	for _, q := range g {
-		gpts = append(gpts, en.Net.Sinks[ord[q]].Pos)
+	items := make([]keyed, 0, len(G))
+	for i := range groups {
+		gr := &groups[i]
+		items = append(items, keyed{key: float64(gr.r - gr.span + 1), it: item{group: gr, bbox: gr.bbox}})
 	}
-	items := []keyed{{key: float64(left), it: item{group: inner, groupKey: groupKey, bbox: geom.BoundingBox(gpts)}}}
 	for _, q := range G {
-		if ing[q] {
+		key, covered := float64(q), false
+		for _, gr := range groups {
+			left := gr.r - gr.span + 1
+			switch {
+			case gr.e.HasRightBubble() && q == gr.r-1:
+				key = float64(gr.r) + 0.5
+			case gr.e.HasLeftBubble() && q == left+1:
+				key = float64(left) - 0.5
+			case left <= q && q <= gr.r: // a group holds its span less its holes
+				covered = true
+			}
+		}
+		if covered {
 			continue
 		}
-		key := float64(q)
-		switch {
-		case e.HasRightBubble() && q == r-1:
-			key = float64(r) + 0.5
-		case e.HasLeftBubble() && q == left+1:
-			key = float64(left) - 0.5
-		}
-		pt := en.Net.Sinks[ord[q]].Pos
-		items = append(items, keyed{key: key, it: item{sinkIdx: ord[q], pos: q, bbox: geom.Rect{Min: pt, Max: pt}}})
+		id := ord[q]
+		pt := en.Net.Sinks[id].Pos
+		items = append(items, keyed{key: key, it: item{sinkIdx: id, bbox: geom.Rect{Min: pt, Max: pt}}})
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].key < items[j].key })
+	slices.SortFunc(items, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
 	out := make([]item, len(items))
 	for i, kv := range items {
 		out[i] = kv.it
@@ -623,12 +620,12 @@ func (en *Engine) buildItems(ord order.Order, G, g []int, r, ispan int, e Chi, i
 
 // starDP is *PTREE (§3.2.3): the P-Tree interval DP over the ordered item
 // list, producing for every candidate p the non-inferior curve of buffered
-// routings rooted at p that drive all items. Runs of directly attached
-// sinks are memoized across sub-problems and MERLIN iterations.
+// routings rooted at p that drive all items. The whole call and its runs of
+// directly attached sinks are memoized across sub-problems and MERLIN
+// iterations.
 func (en *Engine) starDP(items []item) []*curve.Curve {
-	callKey := starKey(items)
-	if cached, ok := en.starMemo[callKey]; ok {
-		en.MemoHits++
+	cached, callKey := en.lookup(keyCall, items)
+	if cached != nil {
 		return cached
 	}
 	en.StarDPCalls++
@@ -649,12 +646,14 @@ func (en *Engine) starDP(items []item) []*curve.Curve {
 				}
 			}
 			final := length == t
+			runKey := "" // set when a pure run misses the memo
 			if pure && !final {
-				if cached, ok := en.memo[runKey(items[a:b+1])]; ok {
-					en.MemoHits++
+				cached, key := en.lookup(keyRun, items[a:b+1])
+				if cached != nil {
 					tab[idx] = cached
 					continue
 				}
+				runKey = key
 			}
 			mask := en.intervalMask(items[a : b+1])
 			allowed := func(p int) bool { return mask == nil || mask[p] }
@@ -667,8 +666,8 @@ func (en *Engine) starDP(items []item) []*curve.Curve {
 					switch {
 					case !allowed(p):
 					case it.group != nil:
-						if it.group[p] != nil {
-							cur[p].Sols = append(cur[p].Sols, it.group[p].Sols...)
+						if c := it.group.curves[p]; c != nil {
+							cur[p].Sols = append(cur[p].Sols, c.Sols...)
 						}
 					default:
 						cur[p].Sols = append(cur[p].Sols, en.leafSol(p, it.sinkIdx))
@@ -739,33 +738,69 @@ func (en *Engine) starDP(items []item) []*curve.Curve {
 				}
 			}
 			tab[idx] = store(cur)
-			if pure && !final {
-				en.memo[runKey(items[a:b+1])] = tab[idx]
+			if runKey != "" {
+				en.memo[runKey] = tab[idx]
 			}
 		}
 	}
 	final := tab[0*t+t-1]
-	en.starMemo[callKey] = final
+	en.memo[callKey] = final
 	return final
 }
 
-// starKey is the content identity of a *PTREE invocation: the ordered item
-// list with the group named by its own content key.
-func starKey(items []item) string {
-	var b strings.Builder
-	for i, it := range items {
-		if i > 0 {
-			b.WriteByte(',')
+// Memo key kinds: the first byte of every memo key.
+const (
+	keyGamma byte = iota // Γ of one sub-group
+	keyCall              // one whole *PTREE call
+	keyRun               // a non-final run of directly attached sinks
+)
+
+// sinkTag marks a directly attached sink in a memo key; a group is marked by
+// its χ, which is below NumChi.
+const sinkTag byte = 0xff
+
+// memoKey encodes the content of a sub-problem into the engine's key buffer,
+// valid until the next call: the kind byte, then each item in order. A sink
+// is sinkTag and its net index; a group is its χ, its sink count and its net
+// sinks in realized order. Numbers are 4-byte little-endian. A key parses
+// back into its kind and items, so equal keys mean equal sub-problems, hence
+// equal curves. A Γ key encodes the sub-group as a lone group item.
+func (en *Engine) memoKey(kind byte, items []item) []byte {
+	b := append(en.key[:0], kind)
+	for i := range items {
+		g := items[i].group
+		if g == nil {
+			b = append(b, sinkTag)
+			b = binary.LittleEndian.AppendUint32(b, uint32(items[i].sinkIdx))
+			continue
 		}
-		if it.group != nil {
-			b.WriteByte('[')
-			b.WriteString(it.groupKey)
-			b.WriteByte(']')
-		} else {
-			b.WriteString(strconv.Itoa(it.sinkIdx))
+		b = append(b, byte(g.e))
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(g.ids)))
+		for _, id := range g.ids {
+			b = binary.LittleEndian.AppendUint32(b, uint32(id))
 		}
 	}
-	return b.String()
+	en.key = b
+	return b
+}
+
+// lookup returns the curves memoized for a sub-problem and counts the hit.
+// On a miss it returns nil and the key as a string, for the caller to store
+// the curves under once built; a hit allocates nothing.
+func (en *Engine) lookup(kind byte, items []item) ([]*curve.Curve, string) {
+	b := en.memoKey(kind, items)
+	if cs, ok := en.memo[string(b)]; ok {
+		en.MemoHits++
+		return cs, ""
+	}
+	return nil, string(b)
+}
+
+// lookupGamma is lookup for Γ of the sub-group with structure e over the net
+// sinks ids.
+func (en *Engine) lookupGamma(e Chi, ids []int) ([]*curve.Curve, string) {
+	self := [1]item{{group: &innerGroup{e: e, ids: ids}}}
+	return en.lookup(keyGamma, self[:])
 }
 
 // summary is the optimistic corner of a curve: the (min load, max req, min
@@ -808,18 +843,6 @@ func (en *Engine) keepBufferedRoots(c *curve.Curve) {
 		}
 	}
 	c.Sols = out
-}
-
-// runKey builds the memo key for a run of sink items.
-func runKey(items []item) string {
-	var b strings.Builder
-	for i, it := range items {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(it.sinkIdx))
-	}
-	return b.String()
 }
 
 // transfer relaxes curves across candidate locations: a structure rooted at

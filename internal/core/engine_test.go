@@ -315,12 +315,96 @@ func TestGammaMemoReuse(t *testing.T) {
 	if _, err := en.Construct(order.Identity(nt.N())); err != nil {
 		t.Fatal(err)
 	}
-	calls := en.StarDPCalls
+	calls, hits := en.StarDPCalls, en.MemoHits
 	if _, err := en.Construct(order.Identity(nt.N())); err != nil {
 		t.Fatal(err)
 	}
 	if en.StarDPCalls != calls {
 		t.Fatalf("identical reconstruct ran %d extra starDP calls", en.StarDPCalls-calls)
+	}
+	if en.MemoHits <= hits {
+		t.Fatalf("identical reconstruct left MemoHits at %d: Γ hits are not counted", en.MemoHits)
+	}
+}
+
+// TestMemoKeysDistinct: the one memo table holds three kinds of sub-problem,
+// so sub-problems that differ in kind or content must never share a key,
+// while equal content must always give the same key.
+func TestMemoKeysDistinct(t *testing.T) {
+	sink := func(i int) item { return item{sinkIdx: i} }
+	group := func(e Chi, ids ...int) item { return item{group: &innerGroup{e: e, ids: ids}} }
+	type sub struct {
+		kind  byte
+		items []item
+	}
+	cases := []struct {
+		name string
+		a, b sub
+	}{
+		{"Γ vs *PTREE call over the same lone group",
+			sub{keyGamma, []item{group(Chi1, 3, 4)}}, sub{keyCall, []item{group(Chi1, 3, 4)}}},
+		{"run vs *PTREE call over the same sinks",
+			sub{keyRun, []item{sink(1), sink(2)}}, sub{keyCall, []item{sink(1), sink(2)}}},
+		{"sink item vs one-sink group of the same index",
+			sub{keyCall, []item{sink(5)}}, sub{keyCall, []item{group(Chi0, 5)}}},
+		{"sink 257 vs sink 1",
+			sub{keyRun, []item{sink(257), sink(2)}}, sub{keyRun, []item{sink(1), sink(2)}}},
+		{"sink 256 vs sink 0",
+			sub{keyCall, []item{group(Chi0, 256, 3)}}, sub{keyCall, []item{group(Chi0, 0, 3)}}},
+		{"sink 65537 vs sink 1",
+			sub{keyGamma, []item{group(Chi2, 65537)}}, sub{keyGamma, []item{group(Chi2, 1)}}},
+		{"groups with equal concatenated sink lists",
+			sub{keyCall, []item{group(Chi0, 1, 2), group(Chi0, 3)}}, sub{keyCall, []item{group(Chi0, 1), group(Chi0, 2, 3)}}},
+		{"same sinks, different χ",
+			sub{keyGamma, []item{group(Chi0, 1, 2)}}, sub{keyGamma, []item{group(Chi1, 1, 2)}}},
+		{"group then sink vs sink then group",
+			sub{keyCall, []item{group(Chi0, 1, 2), sink(3)}}, sub{keyCall, []item{sink(3), group(Chi0, 1, 2)}}},
+	}
+	en := &Engine{}
+	for _, tc := range cases {
+		ka := string(en.memoKey(tc.a.kind, tc.a.items))
+		kb := string(en.memoKey(tc.b.kind, tc.b.items))
+		if ka == kb {
+			t.Errorf("%s: both encode as %x", tc.name, ka)
+		}
+		if again := string(en.memoKey(tc.a.kind, tc.a.items)); again != ka {
+			t.Errorf("%s: the same sub-problem encodes as %x, then %x", tc.name, ka, again)
+		}
+	}
+	// Content alone keys a group: its curves, span and bounding box do not.
+	x := item{group: &innerGroup{e: Chi3, ids: []int{7, 9}, r: 5, span: 6}}
+	y := item{group: &innerGroup{e: Chi3, ids: []int{7, 9}, r: 2, span: 4}, bbox: geom.Rect{Max: geom.Point{X: 1}}}
+	if kx, ky := string(en.memoKey(keyCall, []item{x})), string(en.memoKey(keyCall, []item{y})); kx != ky {
+		t.Errorf("equal content keys differently: %x vs %x", kx, ky)
+	}
+}
+
+// TestMemoHitAllocatesNothing: a lookup that hits encodes into the engine's
+// reused key buffer and indexes the map without converting the key.
+func TestMemoHitAllocatesNothing(t *testing.T) {
+	nt, cands, lib, tech := testSetup(5, 3, 8)
+	opts := exactOpts()
+	opts.MaxSols = 5
+	en := NewEngine(nt, cands, lib, tech, opts)
+	if _, err := en.Construct(order.Identity(nt.N())); err != nil {
+		t.Fatal(err)
+	}
+	ids := []int{2}
+	leaf, _ := en.lookupGamma(Chi0, ids)
+	if leaf == nil {
+		t.Fatal("Γ of a lone sink is not memoized after a Construct")
+	}
+	items := []item{{sinkIdx: 1}, {group: &innerGroup{e: Chi1, ids: []int{3, 4}}}}
+	cs, key := en.lookup(keyCall, items)
+	if cs != nil {
+		t.Fatal("a made-up *PTREE call hit the memo")
+	}
+	en.memo[key] = leaf
+	if allocs := testing.AllocsPerRun(100, func() { en.lookupGamma(Chi0, ids) }); allocs != 0 {
+		t.Errorf("a Γ memo hit allocates %.1f objects", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { en.lookup(keyCall, items) }); allocs != 0 {
+		t.Errorf("a *PTREE-call memo hit allocates %.1f objects", allocs)
 	}
 }
 

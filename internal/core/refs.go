@@ -74,7 +74,7 @@ func (s *refSlab) valid(i int32) bool { return i > 0 && i < s.n }
 
 // maybeCompactRefs runs compactRefs at a Construct boundary when the slab
 // holds more than twice the live count of the previous pass. Live refs only
-// grow (the memo tables are never evicted), so between passes the slab
+// grow (the memo is never evicted), so between passes the slab
 // stays within twice the live set plus one partly filled page, and each
 // pass's O(slab) cost is paid for by the refs allocated since the last one.
 func (en *Engine) maybeCompactRefs() {
@@ -84,7 +84,7 @@ func (en *Engine) maybeCompactRefs() {
 }
 
 // compactRefs is a mark-compact pass over the slab. The roots are every
-// solution of the three memo tables plus the caller's pinned best-so-far
+// solution in the memo plus the caller's pinned best-so-far
 // solution (MerlinCtx's Result.Solution); everything else — refs of pruned
 // solutions and of non-memoized DP table cells — is dead once a Construct
 // has returned. Live records slide down in index order, so children stay
@@ -151,21 +151,16 @@ func (en *Engine) markRefs() []int32 {
 
 // eachRoot calls fn on the Ref of every solution the slab must keep alive.
 func (en *Engine) eachRoot(fn func(*int32)) {
-	curves := func(m map[string][]*curve.Curve) {
-		for _, cs := range m {
-			for _, c := range cs {
-				if c == nil {
-					continue
-				}
-				for i := range c.Sols {
-					fn(&c.Sols[i].Ref)
-				}
+	for _, cs := range en.memo {
+		for _, c := range cs {
+			if c == nil {
+				continue
+			}
+			for i := range c.Sols {
+				fn(&c.Sols[i].Ref)
 			}
 		}
 	}
-	curves(en.memo)
-	curves(en.gammaMemo)
-	curves(en.starMemo)
 	if en.pinned != nil {
 		fn(&en.pinned.Ref)
 	}

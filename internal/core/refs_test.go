@@ -13,25 +13,23 @@ import (
 	"merlin/internal/tree"
 )
 
-// memoSolutions lists every solution Ref of the three memo tables, in a
-// fixed order (table, sorted key, candidate, position) so two listings of
-// the same engine line up.
+// memoSolutions lists every solution Ref of the memo, in a fixed order
+// (sorted key, candidate, position) so two listings of the same engine line
+// up.
 func memoSolutions(en *Engine) []*curve.Solution {
 	var out []*curve.Solution
-	for _, m := range []map[string][]*curve.Curve{en.memo, en.gammaMemo, en.starMemo} {
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			for _, c := range m[k] {
-				if c == nil {
-					continue
-				}
-				for i := range c.Sols {
-					out = append(out, &c.Sols[i])
-				}
+	keys := make([]string, 0, len(en.memo))
+	for k := range en.memo {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		for _, c := range en.memo[k] {
+			if c == nil {
+				continue
+			}
+			for i := range c.Sols {
+				out = append(out, &c.Sols[i])
 			}
 		}
 	}

@@ -17,7 +17,8 @@ import (
 //   - interface boxing: a concrete value passed where a parameter is an
 //     interface type forces a heap box (small-int caching aside)
 //   - append, inside a loop, to a local whose backing was never
-//     capacity-hinted (hint = 3-index make or reslice like sols[:0])
+//     capacity-hinted (hint = 3-index make, reslice like sols[:0], or an
+//     append to either, like append(key[:0], kind))
 //
 // Plain struct literals, sized slice makes and closures are not flagged —
 // they are stack-allocated or sized once. Calls are followed instead: every
@@ -132,27 +133,40 @@ func (hc *hotChecker) diag(pos ast.Node, format string, args ...any) {
 }
 
 // hintedSlices collects local slice variables whose backing array carries a
-// capacity hint: a 3-index make or a reslice of an existing backing array
-// (the sols[:0] idiom).
+// capacity hint: a 3-index make, a reslice of an existing backing array (the
+// sols[:0] idiom), or an append to a reslice or to a hinted variable, which
+// reuses that backing (b := append(key[:0], kind)).
 func hintedSlices(p *Package, body *ast.BlockStmt) map[*types.Var]bool {
 	hinted := map[*types.Var]bool{}
-	mark := func(lhs ast.Expr, rhs ast.Expr) {
-		id, ok := lhs.(*ast.Ident)
-		if !ok {
-			return
-		}
-		hint := false
-		switch r := ast.Unparen(rhs).(type) {
+	var hints func(e ast.Expr) bool
+	hints = func(e ast.Expr) bool {
+		switch r := ast.Unparen(e).(type) {
 		case *ast.SliceExpr:
-			hint = true
+			return true
 		case *ast.CallExpr:
-			if fun, ok := ast.Unparen(r.Fun).(*ast.Ident); ok && fun.Name == "make" && len(r.Args) == 3 {
-				if _, isBuiltin := p.Info.Uses[fun].(*types.Builtin); isBuiltin {
-					hint = true
+			fun, ok := ast.Unparen(r.Fun).(*ast.Ident)
+			if !ok {
+				return false
+			}
+			if _, isBuiltin := p.Info.Uses[fun].(*types.Builtin); !isBuiltin {
+				return false
+			}
+			switch {
+			case fun.Name == "make":
+				return len(r.Args) == 3
+			case fun.Name == "append" && len(r.Args) > 0:
+				if id, ok := ast.Unparen(r.Args[0]).(*ast.Ident); ok {
+					obj, ok := p.Info.Uses[id].(*types.Var)
+					return ok && hinted[obj]
 				}
+				return hints(r.Args[0])
 			}
 		}
-		if !hint {
+		return false
+	}
+	mark := func(lhs ast.Expr, rhs ast.Expr) {
+		id, ok := lhs.(*ast.Ident)
+		if !ok || !hints(rhs) {
 			return
 		}
 		if obj, ok := p.Info.Defs[id].(*types.Var); ok {

@@ -20,7 +20,17 @@ func hotClean(xs []float64, n int) float64 {
 	for _, x := range out {
 		a.x += x
 	}
-	return a.x + buf[0] + pageOf(n).x
+	return a.x + buf[0] + pageOf(n).x + float64(len(keyOf(nil, 1, nil)))
+}
+
+// keyOf is reached from hotClean. Appending to a reslice reuses its backing
+// array, so b keeps the reslice's hint and the loop append is clean.
+func keyOf(buf []byte, kind byte, ids []int) []byte {
+	b := append(buf[:0], kind)
+	for _, id := range ids {
+		b = append(b, byte(id))
+	}
+	return b
 }
 
 // pageOf is reached from hotClean, so the fence polices it; its allocation
